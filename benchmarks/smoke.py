@@ -8,11 +8,10 @@ can track the perf trajectory on every push::
     PYTHONPATH=src python benchmarks/smoke.py --scale 0.5 --jobs 4 --check
 
 A second document, ``BENCH_train.json``, micro-benchmarks the histogram
-training engine itself: the same forest is grown twice from one shared
-:class:`~repro.ml.binning.BinnedDataset` — sibling histogram subtraction
-off, then on — and prediction compares the stacked
-:class:`~repro.ml.forest.ForestArrays` kernel against the per-tree
-traversal loop it replaced.  The histogram build/subtraction counts in that
+training engine itself: one forest is grown from a shared
+:class:`~repro.ml.binning.BinnedDataset`, and prediction compares the
+stacked :class:`~repro.ml.forest.ForestArrays` kernel against the per-tree
+traversal loop it replaced.  The histogram build and cell counts in that
 document are read from the ``ml.hist.*`` telemetry counters, i.e. the same
 numbers the run manifest aggregates.
 
@@ -142,7 +141,7 @@ def _bench_shap(batch_size: int = 1000, ref_samples: int = 200) -> dict:
     }
 
 
-_HIST_COUNTERS = ("ml.hist.builds", "ml.hist.subtractions", "ml.tree.nodes")
+_HIST_COUNTERS = ("ml.hist.builds", "ml.hist.cells", "ml.tree.nodes")
 
 
 def _bench_train(
@@ -153,10 +152,9 @@ def _bench_train(
 ) -> dict:
     """Histogram engine micro-benchmark: the BENCH_train.json payload.
 
-    Both fits grow *bit-identical* trees (same pre-spawned per-tree
-    generators over the same shared BinnedDataset), so the wall-time gap is
-    purely the engine's histogram work; the build/subtraction counts that
-    prove it are deltas of the ``ml.hist.*`` tracer counters.
+    The histogram work behind the fit wall is given by deltas of the
+    ``ml.hist.*`` tracer counters: builds, and cells (features × rows)
+    gathered into them.
     """
     tracer = get_tracer()
     rng = np.random.default_rng(4)
@@ -164,62 +162,36 @@ def _bench_train(
     y = (X[:, 0] + X[:, 3] * X[:, 5] - X[:, 7] > 0).astype(np.int8)
     Xte = rng.normal(size=(n_predict, n_features))
 
-    def fit_forest(hist_subtraction: bool) -> list[DecisionTreeClassifier]:
-        dataset = BinnedDataset.from_matrix(X)
-        trees = []
-        for r in np.random.default_rng(0).spawn(n_trees):
-            tree = DecisionTreeClassifier(
-                random_state=r, hist_subtraction=hist_subtraction
-            )
-            tree.fit(None, y, binned=dataset)
-            trees.append(tree)
-        return trees
-
     def counters() -> dict[str, float]:
         return {k: tracer.counters.get(k, 0) for k in _HIST_COUNTERS}
 
     with tracer.span("train_predict"):
         c0 = counters()
-        with tracer.span("fit_direct", n_trees=n_trees) as direct_span:
-            direct = fit_forest(hist_subtraction=False)
+        with tracer.span("fit", n_trees=n_trees) as fit_span:
+            dataset = BinnedDataset.from_matrix(X)
+            trees = []
+            for r in np.random.default_rng(0).spawn(n_trees):
+                tree = DecisionTreeClassifier(random_state=r)
+                tree.fit(None, y, binned=dataset)
+                trees.append(tree)
         c1 = counters()
-        with tracer.span("fit_subtraction", n_trees=n_trees) as sub_span:
-            fast = fit_forest(hist_subtraction=True)
-        c2 = counters()
 
-        identical = all(
-            np.array_equal(a.tree_.children_left, b.tree_.children_left)
-            and np.array_equal(a.tree_.feature, b.tree_.feature)
-            and np.array_equal(a.tree_.threshold, b.tree_.threshold, equal_nan=True)
-            and np.array_equal(a.tree_.value, b.tree_.value)
-            for a, b in zip(direct, fast)
-        )
-
-        stacked = ForestArrays.from_trees([t.tree_ for t in fast])
+        stacked = ForestArrays.from_trees([t.tree_ for t in trees])
         with tracer.span("predict_stacked", rows=n_predict) as stacked_span:
             p_stacked = stacked.predict_proba_positive(Xte)
         with tracer.span("predict_loop", rows=n_predict) as loop_span:
             p_loop = np.mean(
-                [t.tree_.predict_proba_positive(Xte) for t in fast], axis=0
+                [t.tree_.predict_proba_positive(Xte) for t in trees], axis=0
             )
 
-    builds_direct = c1["ml.hist.builds"] - c0["ml.hist.builds"]
-    builds_sub = c2["ml.hist.builds"] - c1["ml.hist.builds"]
     return {
         "n_rows": n_rows,
         "n_features": n_features,
         "n_trees": n_trees,
-        "fit_direct_s": round(direct_span.wall_s, 3),
-        "fit_subtraction_s": round(sub_span.wall_s, 3),
-        "fit_speedup": round(direct_span.wall_s / sub_span.wall_s, 2),
-        "hist_builds_direct": int(builds_direct),
-        "hist_builds_subtraction": int(builds_sub),
-        "hist_subtractions": int(
-            c2["ml.hist.subtractions"] - c1["ml.hist.subtractions"]
-        ),
-        "builds_saved_pct": round(100.0 * (1.0 - builds_sub / builds_direct), 1),
-        "tree_nodes": int(c2["ml.tree.nodes"] - c1["ml.tree.nodes"]),
-        "trees_bit_identical": identical,
+        "fit_s": round(fit_span.wall_s, 3),
+        "hist_builds": int(c1["ml.hist.builds"] - c0["ml.hist.builds"]),
+        "hist_cells": int(c1["ml.hist.cells"] - c0["ml.hist.cells"]),
+        "tree_nodes": int(c1["ml.tree.nodes"] - c0["ml.tree.nodes"]),
         "predict_rows": n_predict,
         "predict_stacked_s": round(stacked_span.wall_s, 3),
         "predict_loop_s": round(loop_span.wall_s, 3),
@@ -240,8 +212,7 @@ STAGE_MAP = {
 
 #: BENCH_train.json keys and the manifest stage path each one is derived from.
 TRAIN_STAGE_MAP = {
-    ("train", "fit_direct_s"): "bench/train_predict/fit_direct",
-    ("train", "fit_subtraction_s"): "bench/train_predict/fit_subtraction",
+    ("train", "fit_s"): "bench/train_predict/fit",
     ("train", "predict_stacked_s"): "bench/train_predict/predict_stacked",
     ("train", "predict_loop_s"): "bench/train_predict/predict_loop",
 }
@@ -314,11 +285,6 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print(f"note: {cpus} CPU(s) — parallel speedup floors not asserted")
         train = train_doc["train"]
-        assert train["trees_bit_identical"], "subtraction changed the trees"
-        assert train["hist_subtractions"] > 0, "subtraction path never taken"
-        assert train["hist_builds_subtraction"] < train["hist_builds_direct"], (
-            "subtraction did not reduce histogram builds"
-        )
         assert train["predict_max_abs_diff"] <= 1e-12, "stacked predict drifted"
         # BENCH values are a derived view of the span tree: re-derive them
         # from the manifest stage table and demand agreement.
@@ -331,12 +297,10 @@ def main(argv: list[str] | None = None) -> int:
                     f"{section}.{key}={bench_v} != stage {path} wall_s={stage_v}"
                 )
         # the manifest's global counters cover at least the bench's own fits
-        for name in ("ml.hist.builds", "ml.hist.subtractions"):
+        for name, key in (("ml.hist.builds", "hist_builds"),
+                          ("ml.hist.cells", "hist_cells")):
             total = manifest["counters"].get(name, 0)
-            local = train["hist_builds_direct"] + train["hist_builds_subtraction"]
-            if name == "ml.hist.subtractions":
-                local = train["hist_subtractions"]
-            assert total >= local, f"manifest counter {name} lost bench fits"
+            assert total >= train[key], f"manifest counter {name} lost bench fits"
     return 0
 
 

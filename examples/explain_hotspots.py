@@ -14,7 +14,7 @@ Run:  python examples/explain_hotspots.py [--design mult_a] [--num 3]
 
 import argparse
 
-from repro.bench.suite import SUITE_RECIPES
+from repro.bench.suite import SUITE_RECIPES, suite_recipes
 from repro.core import (
     build_suite_dataset,
     default_cache_path,
@@ -37,7 +37,7 @@ def main() -> None:
         args.scale, cache_path=default_cache_path(args.scale)
     )
     print(f"re-running the flow for {args.design} to recover congestion maps...")
-    flow = run_flow(SUITE_RECIPES[args.design])
+    flow = run_flow(next(r for r in suite_recipes(args.scale) if r.name == args.design))
 
     reports = explain_hotspots(suite, flow, num_hotspots=args.num)
     for report in reports:

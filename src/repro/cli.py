@@ -53,7 +53,7 @@ from contextlib import nullcontext
 from pathlib import Path
 
 from .bench.generator import DesignRecipe
-from .bench.suite import GROUPS, group_of
+from .bench.suite import GROUPS, group_of, suite_recipes
 from .core.evaluation import format_table2, summarize_shape
 from .core.experiment import run_experiment
 from .core.explain import explain_hotspots
@@ -274,11 +274,8 @@ def _explain(args: argparse.Namespace) -> int:
         args.scale, cache_path=cache, runner=runner, resume=args.resume,
         checkpoint_dir=_suite_checkpoint_dir(args.scale),
     )
-    from .bench.suite import SUITE_RECIPES
-
-    outcome = runner.run_unit(
-        "explain", args.design, run_flow, SUITE_RECIPES[args.design]
-    )
+    recipe = next(r for r in suite_recipes(args.scale) if r.name == args.design)
+    outcome = runner.run_unit("explain", args.design, run_flow, recipe)
     if not outcome.ok:
         return _report_failures(runner) or 1
     reports = explain_hotspots(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..features.dataset import SuiteDataset
+from ..features.dataset import DesignDataset, SuiteDataset
 from ..features.names import feature_names
 from ..ml.forest import RandomForestClassifier
 from ..ml.shap.plots import Explanation, build_explanation, force_plot_text
@@ -77,6 +77,25 @@ def train_explanation_forest(
     return model
 
 
+def check_flow_matches(flow: FlowResult, dataset: DesignDataset) -> None:
+    """Raise ``ValueError`` unless ``flow`` produced ``dataset``'s samples.
+
+    Features are compared at float32, the precision the suite cache stores
+    them in, so a cached suite matches a freshly re-run flow.
+    """
+    grid = (flow.grid.nx, flow.grid.ny)
+    if grid != (dataset.grid_nx, dataset.grid_ny):
+        raise ValueError(
+            f"{dataset.name}: flow grid {grid[0]}x{grid[1]} != suite dataset "
+            f"grid {dataset.grid_nx}x{dataset.grid_ny} (flow run at another scale?)"
+        )
+    if not (
+        np.array_equal(flow.X.astype(np.float32), dataset.X.astype(np.float32))
+        and np.array_equal(flow.y, dataset.y)
+    ):
+        raise ValueError(f"{dataset.name}: flow X/y differ from the suite dataset's")
+
+
 def explain_hotspots(
     suite: SuiteDataset,
     flow: FlowResult,
@@ -89,13 +108,17 @@ def explain_hotspots(
     """Explain the top predicted hotspots of a design.
 
     ``flow`` must be the design's :class:`~repro.core.pipeline.FlowResult`
-    (it carries the congestion maps and the ground-truth DRC report).
+    at the suite's scale (it carries the congestion maps and the
+    ground-truth DRC report).  A flow whose grid or rows differ from the
+    suite dataset's raises ``ValueError``: its maps and DRC errors would be
+    read at g-cells of a different design.
     """
     design_name = flow.design.name
+    dataset = suite.by_name(design_name)
+    check_flow_matches(flow, dataset)
     if model is None:
         model = train_explanation_forest(suite, design_name, preset,
                                          n_jobs=n_jobs)
-    dataset = suite.by_name(design_name)
 
     probs = model.predict_proba(dataset.X)[:, 1]
     explainer = TreeShapExplainer(model.trees, dataset.X.shape[1])

@@ -207,18 +207,15 @@ class BinnedDataset:
 
 
 def as_binned_dataset(
-    binned, X: np.ndarray | None, max_bins: int = MAX_BINS
+    binned: BinnedDataset | None, X: np.ndarray | None, max_bins: int = MAX_BINS
 ) -> BinnedDataset:
     """Coerce an estimator's ``binned`` argument into a :class:`BinnedDataset`.
 
-    Accepts a ready dataset, the legacy ``(mapper, codes)`` tuple, or
-    ``None`` (bin ``X`` now — the standalone-estimator path).
+    Accepts a ready dataset, or ``None`` (bin ``X`` now — the
+    standalone-estimator path).
     """
-    if binned is None:
-        if X is None:
-            raise ValueError("either X or binned data must be provided")
-        return BinnedDataset.from_matrix(X, max_bins)
-    if isinstance(binned, BinnedDataset):
+    if binned is not None:
         return binned
-    mapper, codes = binned
-    return BinnedDataset(mapper, np.asarray(codes, dtype=np.uint8))
+    if X is None:
+        raise ValueError("either X or binned data must be provided")
+    return BinnedDataset.from_matrix(X, max_bins)

@@ -36,7 +36,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from ..runtime.telemetry import get_tracer
-from .binning import BinMapper, BinnedDataset, as_binned_dataset
+from .binning import BinnedDataset, as_binned_dataset
 from .tree import LEAF, DecisionTreeClassifier, TreeArrays
 
 
@@ -257,7 +257,7 @@ class RandomForestClassifier:
         X: np.ndarray | None,
         y: np.ndarray,
         sample_weight: np.ndarray | None = None,
-        binned: BinnedDataset | tuple[BinMapper, np.ndarray] | None = None,
+        binned: BinnedDataset | None = None,
     ) -> "RandomForestClassifier":
         y = np.asarray(y).astype(np.int8).ravel()
         dataset = as_binned_dataset(binned, X, self.max_bins)

@@ -2,39 +2,25 @@
 
 The base learner underneath the Random Forest and RUSBoost models.  Split
 search is histogram-based over pre-binned features
-(:mod:`repro.ml.binning`): every node owns one weighted ``(F, B)``
-histogram pair (totals and positives), where ``B`` is the *actual* widest
-bin count of the mapper — not a hardcoded 256 — so a node costs
-O(n_node · F + F · B) instead of O(n_node log n_node · F).
+(:mod:`repro.ml.binning`): every split node builds one weighted ``(F', B)``
+histogram pair (totals and positives) over exactly what its scan reads —
 
-Two histogram tricks keep that cost down (LightGBM-style):
+* the features it may split on: the node's sorted random subset
+  (``max_features``; √F for the forest) or all F features when
+  ``max_features=None``;
+* the rows that carry weight: zero-weight rows (bootstrap misses, RUSBoost's
+  undrawn negatives) add nothing to a histogram, so they are dropped once at
+  the root, as scikit-learn's splitter does, and never gathered.
 
-* **feature-major gather** — codes live in a cached ``(F, n)`` contiguous
-  matrix shared by every tree grown from the same
-  :class:`~repro.ml.binning.BinnedDataset`; one node's histogram input is a
-  single ``codes_T[:, indices]`` gather, with no per-node ``np.tile``
-  temporaries;
-* **sibling subtraction** — after a split, only the *smaller* child's
-  histogram is built from data; the sibling's is derived as
-  ``parent − small`` (exact for integer-valued weights such as bootstrap
-  counts; for fractional weights each bin drifts by at most ~1 ulp of the
-  parent sum, because parent and child accumulate their weights in
-  different orders).  That drift can perturb *exactly tied* gains, so the
-  split scan resolves ties with a tolerance: every cut within a hair of
-  the best gain counts as tied and the first one wins, which makes
-  subtraction-built trees bit-identical to direct-histogram trees.
-  Subtraction is applied per node only where it is actually cheaper — the
-  derived histogram costs O(F·B) while a direct build costs O(F·n rows),
-  so tiny deep-tree nodes keep the direct path (the result is identical
-  either way; the gate is purely a cost decision).
-
-Histograms are built over **all** features; the per-node random subset
-(``max_features``) is applied as a mask when scanning for the best split.
-That is what makes parent-minus-child subtraction valid under per-node
-feature sampling — parent and child histograms always cover the same
-feature set.  Telemetry counters ``ml.hist.builds``,
-``ml.hist.subtractions`` and ``ml.tree.nodes`` (also kept per-fit in
-``fit_stats_``) let the run manifest prove the build/subtraction ratio.
+``B`` is the *actual* widest bin count of the mapper — not a hardcoded 256
+— so a node costs O(n_node · F' + F' · B) instead of
+O(n_node log n_node · F).  Codes live in a cached feature-major ``(F, n)``
+matrix shared by every tree grown from the same
+:class:`~repro.ml.binning.BinnedDataset`; one node's histogram input is a
+single gather of it (:func:`node_histogram`).  Telemetry counters
+``ml.hist.builds``, ``ml.hist.cells`` (features × rows gathered) and
+``ml.tree.nodes`` (also kept per-fit in ``fit_stats_``) account for that
+work in the run manifest.
 
 The fitted tree is stored as flat parallel arrays (the same layout
 scikit-learn uses), which is exactly what the SHAP tree explainer needs:
@@ -137,22 +123,46 @@ def _impurity(pos: np.ndarray, tot: np.ndarray, criterion: str) -> np.ndarray:
     return h
 
 
+def node_histogram(
+    codes_T: np.ndarray,
+    rows: np.ndarray,
+    features: np.ndarray | None,
+    w: np.ndarray,
+    wy: np.ndarray,
+    n_bins: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted ``(len(features), n_bins)`` histogram pair of one node.
+
+    ``codes_T`` is the feature-major ``(F, n)`` code matrix, ``rows`` the
+    node's row indices and ``features`` the rows of ``codes_T`` to count
+    (``None``: all of them).  Returns the per-bin sums of ``w`` (totals) and
+    ``wy`` (positives), each bin accumulated in ``rows`` order.
+    """
+    sub = codes_T[:, rows] if features is None else codes_T[features][:, rows]
+    n_feat = sub.shape[0]
+    flat = (np.arange(n_feat, dtype=np.int64)[:, None] * n_bins + sub).ravel()
+    size = n_feat * n_bins
+    h_tot = np.bincount(
+        flat, weights=np.broadcast_to(w[rows], sub.shape).ravel(), minlength=size
+    )
+    h_pos = np.bincount(
+        flat, weights=np.broadcast_to(wy[rows], sub.shape).ravel(), minlength=size
+    )
+    return h_tot.reshape(n_feat, n_bins), h_pos.reshape(n_feat, n_bins)
+
+
 class _NodeTask:
     """Work item of the depth-first growth stack."""
 
-    __slots__ = ("indices", "depth", "parent", "is_left", "tot", "pos",
-                 "hist_tot", "hist_pos")
+    __slots__ = ("indices", "depth", "parent", "is_left", "tot", "pos")
 
-    def __init__(self, indices, depth, parent, is_left, tot, pos,
-                 hist_tot=None, hist_pos=None):
+    def __init__(self, indices, depth, parent, is_left, tot, pos):
         self.indices = indices
         self.depth = depth
         self.parent = parent
         self.is_left = is_left
-        self.tot = tot  # exact weighted sample count (never histogram-derived)
+        self.tot = tot  # exact weighted sample count
         self.pos = pos
-        self.hist_tot = hist_tot  # (F, B) or None -> build on demand
-        self.hist_pos = hist_pos
 
 
 class DecisionTreeClassifier:
@@ -160,9 +170,10 @@ class DecisionTreeClassifier:
 
     Parameters mirror scikit-learn where they share names.  ``max_features``
     may be ``"sqrt"``, ``"log2"``, ``None`` (all), an int, or a float
-    fraction.  ``hist_subtraction`` disables the sibling-subtraction trick
-    (both children built from data) — the reference mode the equivalence
-    property tests compare against.
+    fraction.  Rows with zero sample weight take no part in growing the
+    tree, so ``min_samples_split`` counts only rows with nonzero weight
+    (at the default of 2 this grows the same tree as counting every row: a
+    node with a single weighted row is pure either way).
     """
 
     def __init__(
@@ -174,7 +185,6 @@ class DecisionTreeClassifier:
         criterion: str = "gini",
         max_bins: int = 256,
         random_state: int | np.random.Generator | None = None,
-        hist_subtraction: bool = True,
     ):
         if criterion not in ("gini", "entropy"):
             raise ValueError(f"unknown criterion {criterion!r}")
@@ -185,7 +195,6 @@ class DecisionTreeClassifier:
         self.criterion = criterion
         self.max_bins = max_bins
         self.random_state = random_state
-        self.hist_subtraction = hist_subtraction
         self.tree_: TreeArrays | None = None
         self.fit_stats_: dict[str, int] = {}
         self._mapper: BinMapper | None = None
@@ -197,14 +206,14 @@ class DecisionTreeClassifier:
         X: np.ndarray | None,
         y: np.ndarray,
         sample_weight: np.ndarray | None = None,
-        binned: BinnedDataset | tuple[BinMapper, np.ndarray] | None = None,
+        binned: BinnedDataset | None = None,
     ) -> "DecisionTreeClassifier":
         """Grow the tree.
 
-        ``binned`` lets an ensemble share one :class:`BinnedDataset` (or the
-        legacy ``(mapper, codes)`` pair) across hundreds of trees instead of
-        re-binning per tree; with it, ``X`` may be ``None`` — prediction
-        uses real-valued thresholds, never the training matrix.
+        ``binned`` lets an ensemble share one :class:`BinnedDataset` across
+        hundreds of trees instead of re-binning per tree; with it, ``X`` may
+        be ``None`` — prediction uses real-valued thresholds, never the
+        training matrix.
         """
         y = np.asarray(y).astype(np.int8).ravel()
         if X is not None:
@@ -234,39 +243,20 @@ class DecisionTreeClassifier:
         )
         mtry = self._resolve_max_features(n_features)
 
-        if not w.sum() > 0:
-            raise ValueError("all sample weights are zero")
+        if (w < 0).any() or not w.sum() > 0:
+            raise ValueError("sample weights must be non-negative, not all zero")
         # Normalise to mean weight 1 so min_samples_* thresholds (compared
         # against weighted counts) keep their "effective samples" meaning
         # regardless of the caller's weight scale (boosting uses ~1/n).
-        # Zero-weight rows stay in the index sets: they contribute nothing
-        # to any histogram but do count toward min_samples_split, exactly
-        # like the pre-histogram-subtraction implementation.
         w = w * (n / w.sum())
         wy = w * (y == 1)
-        root_idx = np.arange(n, dtype=np.int64)
+        # zero-weight rows add nothing to any histogram: no node gathers them
+        root_idx = np.flatnonzero(w > 0)
 
         codes_T = dataset.codes_T
         B = dataset.n_bins_max
         can_split = B >= 2
-        msl = float(self.min_samples_leaf)
-        n_builds = n_subtractions = 0
-        offsets = np.arange(n_features, dtype=np.int64)[:, None] * B
-
-        def build_hist(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            """One weighted (F, B) histogram pair from a contiguous gather."""
-            sub = codes_T[:, indices]  # (F, n_node), C-contiguous
-            flat = (offsets + sub).ravel()
-            shape = sub.shape
-            h_tot = np.bincount(
-                flat, weights=np.broadcast_to(w[indices], shape).ravel(),
-                minlength=n_features * B,
-            ).reshape(n_features, B)
-            h_pos = np.bincount(
-                flat, weights=np.broadcast_to(wy[indices], shape).ravel(),
-                minlength=n_features * B,
-            ).reshape(n_features, B)
-            return h_tot, h_pos
+        n_builds = n_cells = 0
 
         # growable node arrays
         cl: list[int] = []
@@ -286,14 +276,6 @@ class DecisionTreeClassifier:
             value.append(pos / tot if tot > 0 else 0.0)
             return node_id
 
-        def may_split(n_child: int, depth: int, tot: float, pos: float) -> bool:
-            """Whether a child node can possibly be split further."""
-            if not can_split or n_child < self.min_samples_split:
-                return False
-            if self.max_depth is not None and depth >= self.max_depth:
-                return False
-            return 0.0 < pos < tot  # not pure
-
         root_tot = float(w[root_idx].sum())
         root_pos = float(wy[root_idx].sum())
         stack = [_NodeTask(root_idx, 0, -1, False, root_tot, root_pos)]
@@ -305,11 +287,14 @@ class DecisionTreeClassifier:
                     cl[task.parent] = node_id
                 else:
                     cr[task.parent] = node_id
-            if not may_split(len(task.indices), task.depth, task.tot, task.pos):
+            if (
+                not can_split
+                or len(task.indices) < self.min_samples_split
+                or (self.max_depth is not None and task.depth >= self.max_depth)
+                or not 0.0 < task.pos < task.tot  # pure
+            ):
                 continue
 
-            # the per-node feature subset is drawn before the histogram so
-            # the RNG stream is identical with and without subtraction;
             # sorted so the scan's first-wins tie-break follows global
             # feature order, independent of the draw order
             allowed = (
@@ -317,71 +302,31 @@ class DecisionTreeClassifier:
                 if mtry < n_features
                 else None
             )
-            if task.hist_tot is None:
-                hist_tot, hist_pos = build_hist(task.indices)
-                n_builds += 1
-            else:
-                hist_tot, hist_pos = task.hist_tot, task.hist_pos
-                task.hist_tot = task.hist_pos = None
-            split = self._scan_histogram(
-                hist_tot, hist_pos, task.tot, task.pos, allowed
+            hist_tot, hist_pos = node_histogram(
+                codes_T, task.indices, allowed, w, wy, B
             )
+            n_builds += 1
+            n_cells += hist_tot.shape[0] * len(task.indices)
+            split = self._scan_histogram(hist_tot, hist_pos, task.tot, task.pos)
             if split is None:
                 continue
             f, cut = split
+            if allowed is not None:
+                f = int(allowed[f])
             feat[node_id] = f
             thr[node_id] = mapper.threshold_value(f, cut)
             left_mask = codes_T[f, task.indices] <= cut
             left_idx = task.indices[left_mask]
             right_idx = task.indices[~left_mask]
-            # exact child stats from data (never histogram-derived, so the
-            # stored cover/value and the stop checks are identical with and
-            # without subtraction)
-            l_tot = float(w[left_idx].sum())
-            l_pos = float(wy[left_idx].sum())
-            r_tot = float(w[right_idx].sum())
-            r_pos = float(wy[right_idx].sum())
-
-            left = _NodeTask(left_idx, task.depth + 1, node_id, True, l_tot, l_pos)
-            right = _NodeTask(right_idx, task.depth + 1, node_id, False, r_tot, r_pos)
-            need_l = may_split(len(left_idx), left.depth, l_tot, l_pos)
-            need_r = may_split(len(right_idx), right.depth, r_tot, r_pos)
-            if need_l or need_r:
-                small, big = (
-                    (left, right) if len(left_idx) <= len(right_idx) else (right, left)
-                )
-                need_small = need_l if small is left else need_r
-                need_big = need_r if small is left else need_l
-                # When the small child's histogram is needed anyway, deriving
-                # the big sibling replaces a whole build with one cheap
-                # (F, B) subtraction — always a win.  When the small build
-                # would happen *only* to enable the subtraction, the win is
-                # just the row-count difference between the children, which
-                # must beat the subtraction's O(F·B) cost (crossover is
-                # around B/8 rows: a bin-wise subtract touches ~2·B cells per
-                # feature at a fraction of the per-row gather+bincount cost).
-                worth = need_small or (
-                    len(big.indices) - len(small.indices) >= B // 8
-                )
-                if self.hist_subtraction and need_big and worth:
-                    small_tot, small_pos = build_hist(small.indices)
-                    n_builds += 1
-                    # reuse the parent's arrays for the derived sibling
-                    np.subtract(hist_tot, small_tot, out=hist_tot)
-                    np.subtract(hist_pos, small_pos, out=hist_pos)
-                    n_subtractions += 1
-                    big.hist_tot, big.hist_pos = hist_tot, hist_pos
-                    if need_small:
-                        small.hist_tot, small.hist_pos = small_tot, small_pos
-                else:
-                    for child, needed in ((small, need_small), (big, need_big)):
-                        if needed:
-                            child.hist_tot, child.hist_pos = build_hist(child.indices)
-                            n_builds += 1
+            depth = task.depth + 1
             # push right first so the left child is materialised immediately
             # after its parent (purely cosmetic: sklearn-like preordering)
-            stack.append(right)
-            stack.append(left)
+            stack.append(_NodeTask(right_idx, depth, node_id, False,
+                                   float(w[right_idx].sum()),
+                                   float(wy[right_idx].sum())))
+            stack.append(_NodeTask(left_idx, depth, node_id, True,
+                                   float(w[left_idx].sum()),
+                                   float(wy[left_idx].sum())))
 
         self.tree_ = TreeArrays(
             children_left=np.asarray(cl, dtype=np.int32),
@@ -393,7 +338,7 @@ class DecisionTreeClassifier:
         )
         self.fit_stats_ = {
             "ml.hist.builds": n_builds,
-            "ml.hist.subtractions": n_subtractions,
+            "ml.hist.cells": n_cells,
             "ml.tree.nodes": len(cl),
         }
         tracer = get_tracer()
@@ -433,18 +378,8 @@ class DecisionTreeClassifier:
         hist_pos: np.ndarray,
         w_tot: float,
         w_pos: float,
-        allowed: np.ndarray | None,
     ) -> tuple[int, int] | None:
-        """Best (feature, bin cut) in a node's histogram, or None for a leaf.
-
-        ``allowed`` is the node's random feature subset; the scan slices the
-        full-F histograms down to those rows, so subsampling never changes
-        which histograms get built (that is what keeps subtraction valid)
-        while the prefix-sum/impurity math only pays for ``mtry`` features.
-        """
-        if allowed is not None:
-            hist_tot = hist_tot[allowed]
-            hist_pos = hist_pos[allowed]
+        """Best (histogram row, bin cut) of a node, or None for a leaf."""
         B = hist_tot.shape[1]
         # prefix sums: splitting after bin c puts codes <= c on the left
         left_tot = np.cumsum(hist_tot, axis=1)[:, :-1]
@@ -472,17 +407,14 @@ class DecisionTreeClassifier:
         best_gain = float(gain.max())
         if not np.isfinite(best_gain) or best_gain <= 1e-12:
             return None
-        # Deterministic tie-break, immune to sibling-subtraction drift: a
-        # derived (parent - small) histogram can carry ~1 ulp residue even in
-        # bins that are exactly empty in the child (different summation
-        # order), which would let a plain argmax pick different members of an
-        # exactly-tied cut set than the direct build does.  Treat every cut
-        # within a hair of the best gain as tied and take the first — both
-        # modes see the same tie set because true gain gaps are either zero
-        # or orders of magnitude wider than the drift.
+        # Deterministic tie-break: truly tied cuts (e.g. two features that
+        # induce the same row partition) get their gains from different
+        # cumsum orders and can differ by an ulp, so a plain argmax would
+        # pick among them by rounding noise.  Treat every cut within a hair
+        # of the best gain as tied and take the first in (feature, cut)
+        # order — true gain gaps are either zero or orders of magnitude
+        # wider than the rounding.
         tol = 1e-9 * max(1.0, abs(best_gain))
         best_flat = int(np.argmax(gain.ravel() >= best_gain - tol))
         f, cut = divmod(best_flat, B - 1)
-        if allowed is not None:
-            f = int(allowed[f])
         return int(f), int(cut)

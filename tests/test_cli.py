@@ -104,6 +104,29 @@ class TestCLIHeavyPaths:
             )
         assert code == 0
 
+    def test_explain_reads_the_flow_at_the_suite_scale(self, tiny_cache, capsys, monkeypatch):
+        # regression: explain re-ran the unscaled recipe, so at --scale != 1
+        # the Fig. 3 maps and DRC ground truth came from a different grid
+        import repro.cli as cli
+        from repro.bench.suite import SUITE_RECIPES, suite_recipes
+
+        assert main(["suite", "--scale", "0.3"]) == 0
+        capsys.readouterr()
+        grids = []
+        real_run_flow = cli.run_flow
+
+        def run_flow(recipe):
+            grids.append((recipe.grid_nx, recipe.grid_ny))
+            return real_run_flow(recipe)
+
+        monkeypatch.setattr(cli, "run_flow", run_flow)
+        assert main(["explain", "des_perf_1", "--scale", "0.3", "--num", "1"]) == 0
+        scaled = next(r for r in suite_recipes(0.3) if r.name == "des_perf_1")
+        assert grids == [(scaled.grid_nx, scaled.grid_ny)]
+        assert grids[0] != (SUITE_RECIPES["des_perf_1"].grid_nx,
+                            SUITE_RECIPES["des_perf_1"].grid_ny)
+        assert "Actual DRC errors" in capsys.readouterr().out
+
     def test_report_degrades_on_training_fault(self, tiny_cache, capsys):
         assert main(["suite", "--scale", "0.3"]) == 0
         capsys.readouterr()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.explain import (
+    check_flow_matches,
     explain_hotspots,
     explanation_layers_mentioned,
     train_explanation_forest,
@@ -96,6 +97,41 @@ class TestExplainHotspots:
             assert actual_layers & expanded, (
                 f"explanation layers {mentioned} vs actual {actual_layers}"
             )
+
+
+class TestFlowConsistency:
+    """A flow that did not produce the suite rows must not be explained: its
+    congestion maps and DRC errors belong to other g-cells."""
+
+    @staticmethod
+    def _suite_with(target: DesignDataset) -> SuiteDataset:
+        twin = DesignDataset(name="twin", group=1, X=target.X, y=target.y,
+                             grid_nx=target.grid_nx, grid_ny=target.grid_ny)
+        return SuiteDataset([target, twin])
+
+    def test_grid_mismatch_raises(self, small_flow_module):
+        d = small_flow_module.dataset
+        # same rows, re-shaped grid: as if the flow ran at another scale
+        reshaped = DesignDataset(name=d.name, group=0, X=d.X, y=d.y,
+                                 grid_nx=d.grid_nx * 2, grid_ny=d.grid_ny // 2)
+        with pytest.raises(ValueError, match="grid"):
+            explain_hotspots(self._suite_with(reshaped), small_flow_module)
+
+    def test_row_mismatch_raises(self, small_flow_module):
+        d = small_flow_module.dataset
+        for X, y in ((d.X + 1.0, d.y), (d.X, 1 - d.y)):
+            other = DesignDataset(name=d.name, group=0, X=X, y=y,
+                                  grid_nx=d.grid_nx, grid_ny=d.grid_ny)
+            with pytest.raises(ValueError, match="X/y"):
+                explain_hotspots(self._suite_with(other), small_flow_module)
+
+    def test_float32_cached_rows_match(self, small_flow_module):
+        # the suite cache stores features as float32
+        d = small_flow_module.dataset
+        cached = DesignDataset(name=d.name, group=0,
+                               X=d.X.astype(np.float32).astype(np.float64),
+                               y=d.y, grid_nx=d.grid_nx, grid_ny=d.grid_ny)
+        check_flow_matches(small_flow_module, cached)
 
 
 class TestTrainExplanationForest:

@@ -2,8 +2,10 @@
 
 Three contracts keep the fast paths honest:
 
-* sibling-subtraction trees are **bit-identical** to direct-histogram
-  trees — the subtraction is an optimisation, never a model change;
+* a node's histogram, built over only the features it scans and the rows
+  that carry weight, equals a naive full-feature, all-row accumulation
+  sliced to those features — exactly — and the grown trees stay pinned to
+  a recorded digest;
 * a parallel forest fit is bit-identical to a serial one at the same
   seed — each tree's random stream is a pure function of
   ``(random_state, tree index)``, regardless of scheduling;
@@ -11,6 +13,8 @@ Three contracts keep the fast paths honest:
   and the training drivers quantise each split exactly once (proved via
   the ``ml.binning.*`` telemetry counters).
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -23,14 +27,14 @@ from repro.ml.binning import BinnedDataset
 from repro.ml.boosting import RUSBoostClassifier
 from repro.ml.forest import ForestArrays, RandomForestClassifier
 from repro.ml.model_selection import grid_search
-from repro.ml.tree import DecisionTreeClassifier
+from repro.ml.tree import DecisionTreeClassifier, node_histogram
 from repro.runtime.telemetry import Tracer, activate
 from tests.conftest import make_separable
 
 
 def _trial_data(trial):
     """One randomized fit problem: data/weights/params all derive from the
-    trial number, sweeping the regimes where subtraction drift could bite
+    trial number, sweeping the regimes where histogram rounding could bite
     (exact ties on gridded data, fractional and zeroed weights, tiny and
     full-width histograms)."""
     rng = np.random.default_rng(trial)
@@ -78,34 +82,76 @@ def _assert_trees_identical(a, b):
     assert np.array_equal(a.value, b.value)
 
 
-class TestSiblingSubtraction:
-    @given(st.integers(0, 100_000))
-    @settings(max_examples=30, deadline=None)
-    def test_bit_identical_to_direct_build(self, trial):
-        X, y, w, params = _trial_data(trial)
-        direct = DecisionTreeClassifier(
-            random_state=trial, hist_subtraction=False, **params
-        ).fit(X, y, sample_weight=w)
-        fast = DecisionTreeClassifier(
-            random_state=trial, hist_subtraction=True, **params
-        ).fit(X, y, sample_weight=w)
-        _assert_trees_identical(direct.tree_, fast.tree_)
+#: SHA-256 of (children_left, children_right, feature, threshold) of the
+#: trees grown on ``_trial_data(0..19)``, recorded with the full-feature,
+#: sibling-subtraction engine this one replaced (1,048 nodes in all).
+TRIAL_TREES_DIGEST = "d7f6e5a2b23596a8592b104594be5dd0ac93db471b5a755be93c142485d9a392"
 
-    def test_subtraction_replaces_builds(self):
-        X, y = make_separable(n=800, seed=33)
-        direct = DecisionTreeClassifier(
-            random_state=0, hist_subtraction=False
-        ).fit(X, y)
-        fast = DecisionTreeClassifier(random_state=0, hist_subtraction=True).fit(X, y)
-        assert direct.fit_stats_["ml.hist.subtractions"] == 0
-        assert fast.fit_stats_["ml.hist.subtractions"] > 0
-        assert fast.fit_stats_["ml.hist.builds"] < direct.fit_stats_["ml.hist.builds"]
-        # same tree either way, so the node counters agree too
-        assert (
-            fast.fit_stats_["ml.tree.nodes"]
-            == direct.fit_stats_["ml.tree.nodes"]
-            == fast.tree_.node_count
+
+class TestNodeHistogram:
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_naive_reference(self, trial):
+        X, y, w, params = _trial_data(trial)
+        rng = np.random.default_rng(trial + 1)
+        dataset = BinnedDataset.from_matrix(X, params["max_bins"])
+        n, n_features = dataset.n_samples, dataset.n_features
+        B = dataset.n_bins_max
+        w = np.ones(n) if w is None else w
+        wy = w * (y == 1)
+        node = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        features = (
+            None if params["max_features"] is None
+            else np.sort(rng.choice(n_features, size=int(rng.integers(1, n_features + 1)),
+                                    replace=False))
         )
+        got_tot, got_pos = node_histogram(
+            dataset.codes_T, node[w[node] > 0], features, w, wy, B
+        )
+
+        ref_tot = np.zeros((n_features, B))
+        ref_pos = np.zeros((n_features, B))
+        for f in range(n_features):
+            np.add.at(ref_tot[f], dataset.codes[node, f], w[node])
+            np.add.at(ref_pos[f], dataset.codes[node, f], wy[node])
+        if features is not None:
+            ref_tot, ref_pos = ref_tot[features], ref_pos[features]
+        assert np.array_equal(got_tot, ref_tot)
+        assert np.array_equal(got_pos, ref_pos)
+
+    def test_trees_match_recorded_digest(self):
+        h = hashlib.sha256()
+        for trial in range(20):
+            X, y, w, params = _trial_data(trial)
+            tree = DecisionTreeClassifier(random_state=trial, **params).fit(
+                X, y, sample_weight=w
+            ).tree_
+            h.update(tree.children_left.astype("<i4").tobytes())
+            h.update(tree.children_right.astype("<i4").tobytes())
+            h.update(tree.feature.astype("<i4").tobytes())
+            h.update(tree.threshold.astype("<f8").tobytes())
+        assert h.hexdigest() == TRIAL_TREES_DIGEST
+
+    def test_cells_count_scanned_features_and_weighted_rows(self):
+        X, y = make_separable(n=300, seed=35)
+        w = np.ones(len(y))
+        w[::3] = 0.0
+        n_weighted = int((w > 0).sum())
+        stump = DecisionTreeClassifier(max_depth=1, max_features=None).fit(
+            X, y, sample_weight=w
+        )
+        assert stump.fit_stats_["ml.hist.builds"] == 1
+        assert stump.fit_stats_["ml.hist.cells"] == X.shape[1] * n_weighted
+        mtry = DecisionTreeClassifier(max_depth=1, max_features=2, random_state=0)
+        mtry.fit(X, y, sample_weight=w)
+        assert mtry.fit_stats_["ml.hist.cells"] == 2 * n_weighted
+
+    def test_negative_weights_rejected(self):
+        X, y = make_separable(n=50, seed=36)
+        w = np.ones(len(y))
+        w[0] = -1.0
+        with pytest.raises(ValueError):
+            DecisionTreeClassifier().fit(X, y, sample_weight=w)
 
     def test_fit_counters_reach_active_tracer(self):
         X, y = make_separable(n=300, seed=34)
