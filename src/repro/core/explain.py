@@ -57,7 +57,7 @@ class HotspotExplanationReport:
             lines.append(view)
             lines.append("")
         lines.append(f"Actual DRC errors (ground truth): {self.actual_errors}")
-        lines.append(f"(SHAP runtime: {self.shap_seconds:.2f} s/sample)")
+        lines.append(f"(SHAP runtime: {self.shap_seconds * 1e3:.3g} ms/sample)")
         return "\n".join(lines)
 
 

@@ -1,5 +1,7 @@
 """Integration tests for the hotspot explanation workflow (Fig. 3/4)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,11 @@ class TestExplainHotspots:
         assert "base value" in text
         assert "Actual DRC errors" in text
         assert "SHAP runtime" in text
+
+    def test_render_shap_runtime_in_ms(self, reports):
+        """Millisecond SHAP times keep three significant digits."""
+        text = replace(reports[0], shap_seconds=0.001234).render()
+        assert "(SHAP runtime: 1.23 ms/sample)" in text
 
     def test_layers_mentioned_extraction(self, reports):
         layers = explanation_layers_mentioned(reports[0], k=10)

@@ -83,39 +83,59 @@ class TestTreeShapExactness:
             np.mean([t.value[0] for t in rf.trees])
         )
 
-    def test_batch_matches_single(self):
-        rf, X = _fit_small_forest(2)
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=15, deadline=None)
+    def test_single_tree_matches_brute_force(self, seed):
+        """Batched rows of a one-tree explainer equal the exact Eq. 2 values."""
+        rf, X = _fit_small_forest(seed, depth=6, trees=1)
         ex = TreeShapExplainer(rf.trees, X.shape[1])
-        batch = ex.shap_values(X[:3])
-        for i in range(3):
-            assert np.allclose(batch[i], ex.shap_values_single(X[i]))
+        rows = X[seed % 50:seed % 50 + 5]
+        for x, phi in zip(rows, ex.shap_values(rows)):
+            slow = brute_force_shap(rf.trees, x, X.shape[1])
+            assert np.allclose(phi, slow, rtol=0, atol=1e-10)
+
+    def test_batch_matches_single(self):
+        """The one-row hotspot path gives the batched rows bit for bit."""
+        rf, X = _fit_small_forest(2, depth=6, trees=5)
+        ex = TreeShapExplainer(rf.trees, X.shape[1])
+        batch = ex.shap_values(X[:20])
+        single = np.vstack([ex.shap_values_single(x) for x in X[:20]])
+        assert np.array_equal(batch, single)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=10, deadline=None)
-    def test_batched_recurrences_match_reference(self, seed):
-        """The vectorised EXTEND/UNWIND agrees with the per-sample path."""
+    def test_forest_is_mean_of_tree_explainers(self, seed):
+        """Leaves grouped across trees = the mean of one explainer per tree."""
         rf, X = _fit_small_forest(seed, depth=6, trees=5)
-        ex = TreeShapExplainer(rf.trees, X.shape[1])
         rows = X[(seed % 7):(seed % 7) + 40]
-        batch = ex.shap_values(rows)
-        single = np.vstack([ex.shap_values_single(x) for x in rows])
-        assert np.allclose(batch, single, atol=1e-10)
+        forest = TreeShapExplainer(rf.trees, X.shape[1]).shap_values(rows)
+        per_tree = np.mean(
+            [TreeShapExplainer([t], X.shape[1]).shap_values(rows) for t in rf.trees],
+            axis=0,
+        )
+        assert np.allclose(forest, per_tree, rtol=0, atol=1e-12)
 
     def test_batch_chunking_is_seamless(self):
-        """Results must not depend on where the chunk boundaries fall."""
-        rf, X = _fit_small_forest(9, trees=3)
+        """A row's values must not depend on row order or chunk boundaries."""
+        rf, X = _fit_small_forest(9, depth=6, trees=3)
         ex = TreeShapExplainer(rf.trees, X.shape[1])
         whole = ex.shap_values(X[:30])
-        ex.chunk_size = 7  # 30 samples -> 5 uneven chunks
-        chunked = ex.shap_values(X[:30])
-        assert np.array_equal(whole, chunked)
+        order = np.random.default_rng(9).permutation(30)
+        assert np.array_equal(ex.shap_values(X[:30][order]), whole[order])
+        # budget 1: one row per pass in every group; 4 x widest: the widest
+        # group takes 4 rows per pass (30 rows -> 8 uneven chunks), the
+        # narrower groups more
+        widest = max(len(g.leaf_value) * (g.depth + 1) for g in ex._groups)
+        for budget in (1, 4 * widest):
+            ex.element_budget = budget
+            assert np.array_equal(ex.shap_values(X[:30]), whole)
 
     def test_batch_local_accuracy(self):
         rf, X = _fit_small_forest(10, depth=5, trees=6)
         ex = TreeShapExplainer(rf.trees, X.shape[1])
         phi = ex.shap_values(X[:25])
         fx = rf.predict_proba(X[:25])[:, 1]
-        assert np.allclose(ex.expected_value + phi.sum(axis=1), fx, atol=1e-9)
+        assert np.abs(ex.expected_value + phi.sum(axis=1) - fx).max() <= 1e-9
 
     def test_batch_wrong_feature_count_raises(self):
         rf, X = _fit_small_forest(11)
@@ -124,11 +144,13 @@ class TestTreeShapExactness:
             ex.shap_values(np.zeros((4, X.shape[1] + 1)))
 
     def test_batch_single_row_input(self):
+        """A 1-D sample is one row, checked against the exact Eq. 2 values."""
         rf, X = _fit_small_forest(12)
         ex = TreeShapExplainer(rf.trees, X.shape[1])
-        assert np.allclose(
-            ex.shap_values(X[0]), ex.shap_values_single(X[0])[None, :]
-        )
+        phi = ex.shap_values(X[0])
+        assert phi.shape == (1, X.shape[1])
+        slow = brute_force_shap(rf.trees, X[0], X.shape[1])
+        assert np.allclose(phi[0], slow, rtol=0, atol=1e-10)
 
     def test_single_leaf_tree(self):
         X = np.zeros((10, 3))
